@@ -10,7 +10,6 @@ catalog.  Current rules (key → module):
 ``wall-clock``          :mod:`repro.analysis.rules.determinism`
 ``ndarray-eq``          :mod:`repro.analysis.rules.dataclass_eq`
 ``task-pickle``         :mod:`repro.analysis.rules.pickle_safety`
-``mutable-default``     :mod:`repro.analysis.rules.api_surface`
 ``float-eq``            :mod:`repro.analysis.rules.api_surface`
 ``bare-lock``           :mod:`repro.analysis.rules.concurrency`
 ``spec-signature``      :mod:`repro.analysis.rules.registry_contract`

@@ -1,11 +1,10 @@
-"""Rules for API-surface hazards: mutable defaults and float equality.
+"""Rule for an API-surface hazard: exact float equality.
 
-Both are classic Python footguns with a determinism twist here: a
-mutable default is cross-call shared state (the very thing the seeded
-engine exists to eliminate), and an exact float ``==`` encodes an
-assumption the numerics do not honor once a kernel is vectorized or
-reordered — the PR-3 vectorization kept results *bit-identical* only
-because nothing downstream gated on exact float equality.
+An exact float ``==`` encodes an assumption the numerics do not honor
+once a kernel is vectorized or reordered — the PR-3 vectorization kept
+results *bit-identical* only because nothing downstream gated on exact
+float equality.  (Mutable default arguments, the other classic footgun,
+are ruff's ``B006``.)
 """
 
 from __future__ import annotations
@@ -15,72 +14,7 @@ from typing import Iterator
 
 from repro.analysis.base import Finding, ModuleContext, Rule, register_rule
 
-__all__ = ["MutableDefaultRule", "FloatEqRule"]
-
-#: Constructor names whose bare call is a fresh mutable container.
-_MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray"})
-
-
-def _describe_default(node: ast.expr) -> str | None:
-    """A short description when the default is mutable, else ``None``."""
-    if isinstance(node, ast.List):
-        return "[]"
-    if isinstance(node, ast.Dict):
-        return "{}"
-    if isinstance(node, ast.Set):
-        return "set literal"
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in _MUTABLE_CALLS
-        and not node.args
-        and not node.keywords
-    ):
-        return f"{node.func.id}()"
-    return None
-
-
-@register_rule("mutable-default")
-class MutableDefaultRule(Rule):
-    """Public functions must not use mutable default arguments."""
-
-    title = "mutable default argument on a public function"
-    severity = "error"
-    rationale = (
-        "A mutable default is evaluated once at def time and shared by "
-        "every call — hidden cross-call state in a codebase whose whole "
-        "premise is that results are a pure function of (spec, seed).  "
-        "A cache dict or accumulator default turns the first sweep's "
-        "data into every later sweep's input."
-    )
-    hint = (
-        "Default to None and create the container inside the function "
-        "(or use dataclasses.field(default_factory=...) on dataclass "
-        "fields)."
-    )
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
-            arguments = node.args
-            defaults = list(arguments.defaults) + [
-                default
-                for default in arguments.kw_defaults
-                if default is not None
-            ]
-            for default in defaults:
-                description = _describe_default(default)
-                if description is not None:
-                    yield self.finding(
-                        context,
-                        default,
-                        f"public function {node.name}() has mutable "
-                        f"default {description}; the object is shared "
-                        "across calls",
-                    )
+__all__ = ["FloatEqRule"]
 
 
 @register_rule("float-eq")

@@ -1,9 +1,8 @@
 """Built-in experiment specs: the paper's figures and the ablations.
 
 Every experiment this repository reproduces is expressed here as an
-:class:`~repro.api.spec.ExperimentSpec` — the figure runners and
-ablation runners in :mod:`repro.experiments` are thin wrappers that
-build one of these specs and push it through
+:class:`~repro.api.spec.ExperimentSpec`; the CLI, the examples and the
+tests all run one by pushing it through
 :func:`~repro.api.runner.run_spec`.
 
 The specs compile to *exactly* the engine jobs the historical

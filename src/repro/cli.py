@@ -22,7 +22,7 @@ Usage (after ``pip install -e .``)::
     repro figure4 --trials 3          # average 3 runs per sweep point
     repro figure2 --plot              # add an ASCII line chart
     repro theorem52                   # Theorem 5.2 numeric check
-    repro ablation-selection          # DESIGN.md ablations A2-A6
+    repro ablation-selection          # ablations A2-A6, docs/paper_map.md
     python -m repro figure2           # module form
 
 Every experiment — a user spec or a built-in — executes through
@@ -32,8 +32,8 @@ for any worker count.  Completed jobs are cached on disk
 (``--cache-dir``, default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) so
 rerunning a sweep skips finished work; ``--no-cache`` disables that.
 
-Output is the same text table the benchmark harness prints (plus an
-optional terminal plot), or the full structured result with ``--json``.
+Output is an aligned text table of the series (plus an optional
+terminal plot), or the full structured result with ``--json``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ the square root, which for ``m = 100`` caps the metric at roughly 0.02 —
 inconsistent with Figure 4's x-axis spanning 0.04 to 0.2.  The RMS
 reading (normalizer inside the root) matches the figure, so it is the
 default here; the literal reading is available for completeness.  See
-DESIGN.md for the full argument.
+Section 8.2 of the paper for the Figure 4 sweep this axis belongs to.
 """
 
 from __future__ import annotations

@@ -8,16 +8,12 @@ executing any job.
 
 import numpy as np
 
+from repro.api import builtin_spec, run_spec
+from repro.api.config import SweepConfig
 from repro.engine import Engine, ParallelExecutor, ResultCache, SerialExecutor
-from repro.experiments.ablations import run_ablation_samplesize
-from repro.experiments.config import SweepConfig
-from repro.experiments.runners import (
-    run_experiment1_attributes,
-    run_experiment4_correlated_noise,
-    run_theorem52_verification,
-)
 
 TINY = SweepConfig(n_records=300, n_trials=2, seed=7)
+FIGURE1 = builtin_spec("figure1", TINY, attribute_counts=[5, 20])
 
 
 def _assert_series_equal(a, b):
@@ -29,43 +25,53 @@ def _assert_series_equal(a, b):
 
 class TestParallelEqualsSerial:
     def test_figure1_bit_identical_across_worker_counts(self):
-        serial = run_experiment1_attributes(
-            TINY, attribute_counts=[5, 20], engine=Engine(SerialExecutor())
-        )
+        serial = run_spec(
+            FIGURE1, engine=Engine(SerialExecutor())
+        ).to_series()
         for workers in (2, 3):
-            parallel = run_experiment1_attributes(
-                TINY,
-                attribute_counts=[5, 20],
-                engine=Engine(ParallelExecutor(workers=workers)),
-            )
+            parallel = run_spec(
+                FIGURE1, engine=Engine(ParallelExecutor(workers=workers))
+            ).to_series()
             _assert_series_equal(serial, parallel)
 
     def test_figure4_bit_identical(self):
-        kwargs = dict(profiles=[0.0, 1.0], n_attributes=20, n_principal=10)
-        serial = run_experiment4_correlated_noise(TINY, **kwargs)
-        parallel = run_experiment4_correlated_noise(
-            TINY, engine=Engine(ParallelExecutor(workers=2)), **kwargs
+        spec = builtin_spec(
+            "figure4",
+            TINY,
+            profiles=[0.0, 1.0],
+            n_attributes=20,
+            n_principal=10,
         )
+        serial = run_spec(spec).to_series()
+        parallel = run_spec(
+            spec, engine=Engine(ParallelExecutor(workers=2))
+        ).to_series()
         _assert_series_equal(serial, parallel)
 
     def test_ablation_bit_identical(self):
-        kwargs = dict(sample_sizes=(150, 400), n_attributes=10, seed=3)
-        serial = run_ablation_samplesize(**kwargs)
-        parallel = run_ablation_samplesize(
-            engine=Engine(ParallelExecutor(workers=2)), **kwargs
+        spec = builtin_spec(
+            "ablation-samplesize",
+            sample_sizes=(150, 400),
+            n_attributes=10,
+            seed=3,
         )
+        serial = run_spec(spec).to_series()
+        parallel = run_spec(
+            spec, engine=Engine(ParallelExecutor(workers=2))
+        ).to_series()
         _assert_series_equal(serial, parallel)
 
     def test_theorem52_through_engine(self):
-        serial = run_theorem52_verification(
-            n_attributes=20, component_counts=(2, 10), n_records=500
-        )
-        parallel = run_theorem52_verification(
+        spec = builtin_spec(
+            "theorem52",
             n_attributes=20,
             component_counts=(2, 10),
             n_records=500,
-            engine=Engine(ParallelExecutor(workers=2)),
         )
+        serial = run_spec(spec).to_series()
+        parallel = run_spec(
+            spec, engine=Engine(ParallelExecutor(workers=2))
+        ).to_series()
         _assert_series_equal(serial, parallel)
 
 
@@ -74,9 +80,7 @@ class TestCachedRerun:
         self, tmp_path, monkeypatch
     ):
         cache = ResultCache(tmp_path)
-        first = run_experiment1_attributes(
-            TINY, attribute_counts=[5, 20], engine=Engine(cache=cache)
-        )
+        first = run_spec(FIGURE1, engine=Engine(cache=cache)).to_series()
         assert len(cache) == 4  # 2 points x 2 trials
 
         # Any attempt to execute a job on the rerun is a test failure.
@@ -86,20 +90,17 @@ class TestCachedRerun:
                     f"{len(list(specs))} jobs executed despite warm cache"
                 )
 
-        second = run_experiment1_attributes(
-            TINY,
-            attribute_counts=[5, 20],
-            engine=Engine(ExplodingExecutor(), cache=cache),
-        )
+        second = run_spec(
+            FIGURE1, engine=Engine(ExplodingExecutor(), cache=cache)
+        ).to_series()
         _assert_series_equal(first, second)
 
     def test_cache_distinguishes_configs(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_experiment1_attributes(
-            TINY, attribute_counts=[5, 20], engine=Engine(cache=cache)
-        )
+        run_spec(FIGURE1, engine=Engine(cache=cache))
         other = SweepConfig(n_records=300, n_trials=2, seed=8)
-        run_experiment1_attributes(
-            other, attribute_counts=[5, 20], engine=Engine(cache=cache)
+        run_spec(
+            builtin_spec("figure1", other, attribute_counts=[5, 20]),
+            engine=Engine(cache=cache),
         )
         assert len(cache) == 8, "different seeds must occupy different keys"

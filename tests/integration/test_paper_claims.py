@@ -9,14 +9,8 @@ numbers.  These are the reproduction's acceptance tests.
 import numpy as np
 import pytest
 
-from repro.experiments.config import SweepConfig
-from repro.experiments.runners import (
-    run_experiment1_attributes,
-    run_experiment2_principal_components,
-    run_experiment3_nonprincipal_eigenvalues,
-    run_experiment4_correlated_noise,
-    run_theorem52_verification,
-)
+from repro.api import builtin_spec, run_spec
+from repro.api.config import SweepConfig
 
 # Small-but-stable scale: ~1000 records makes every claim hold with the
 # default seed while keeping the whole module under half a minute.
@@ -25,30 +19,32 @@ CONFIG = SweepConfig(n_records=1000, seed=2005)
 
 @pytest.fixture(scope="module")
 def figure1():
-    return run_experiment1_attributes(
-        CONFIG, attribute_counts=[5, 10, 25, 50, 100]
+    spec = builtin_spec(
+        "figure1", CONFIG, attribute_counts=[5, 10, 25, 50, 100]
     )
+    return run_spec(spec).to_series()
 
 
 @pytest.fixture(scope="module")
 def figure2():
-    return run_experiment2_principal_components(
-        CONFIG, principal_counts=[2, 10, 30, 60, 100]
+    spec = builtin_spec(
+        "figure2", CONFIG, principal_counts=[2, 10, 30, 60, 100]
     )
+    return run_spec(spec).to_series()
 
 
 @pytest.fixture(scope="module")
 def figure3():
-    return run_experiment3_nonprincipal_eigenvalues(
-        CONFIG, eigenvalues=[1, 10, 25, 50]
-    )
+    spec = builtin_spec("figure3", CONFIG, eigenvalues=[1, 10, 25, 50])
+    return run_spec(spec).to_series()
 
 
 @pytest.fixture(scope="module")
 def figure4():
-    return run_experiment4_correlated_noise(
-        CONFIG, profiles=[0.0, 0.5, 1.0, 1.5, 2.0]
+    spec = builtin_spec(
+        "figure4", CONFIG, profiles=[0.0, 0.5, 1.0, 1.5, 2.0]
     )
+    return run_spec(spec).to_series()
 
 
 class TestFigure1Claims:
@@ -171,9 +167,12 @@ class TestFigure4Claims:
 
 class TestTheorem52:
     def test_empirical_matches_analytic(self):
-        series = run_theorem52_verification(
-            component_counts=(5, 25, 50, 75, 100), n_records=3000
+        spec = builtin_spec(
+            "theorem52",
+            component_counts=(5, 25, 50, 75, 100),
+            n_records=3000,
         )
+        series = run_spec(spec).to_series()
         np.testing.assert_allclose(
             series.curve("empirical"),
             series.curve("analytic"),

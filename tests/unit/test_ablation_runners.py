@@ -1,27 +1,29 @@
-"""Unit tests for the ablation runners' interfaces and validation.
+"""Unit tests for the ablation specs' interfaces and validation.
 
 Behavioural (shape) assertions live in tests/integration/test_ablations;
-these cover the runner mechanics at tiny scale.
+these cover the ablation mechanics at tiny scale.
 """
 
 import numpy as np
 import pytest
 
+from repro.api import builtin_spec, run_spec
+from repro.api.config import ExperimentSeries
 from repro.exceptions import ConfigurationError
-from repro.experiments.ablations import (
-    run_ablation_covariance,
-    run_ablation_marginals,
-    run_ablation_samplesize,
-    run_ablation_selection,
-    run_ablation_utility,
-)
-from repro.experiments.config import ExperimentSeries
+
+
+def _series(name, **kwargs):
+    return run_spec(builtin_spec(name, **kwargs)).to_series()
 
 
 class TestInterfaces:
     def test_selection_returns_series(self):
-        series = run_ablation_selection(
-            n_attributes=12, n_principal=3, n_records=200, seed=1
+        series = _series(
+            "ablation-selection",
+            n_attributes=12,
+            n_principal=3,
+            n_records=200,
+            seed=1,
         )
         assert isinstance(series, ExperimentSeries)
         assert series.name == "ablation-selection"
@@ -29,8 +31,11 @@ class TestInterfaces:
         assert series.x_values.size == 2  # two workloads
 
     def test_covariance_series_shape(self):
-        series = run_ablation_covariance(
-            sample_sizes=(100, 300), n_attributes=10, seed=2
+        series = _series(
+            "ablation-covariance",
+            sample_sizes=(100, 300),
+            n_attributes=10,
+            seed=2,
         )
         assert series.x_values.tolist() == [100.0, 300.0]
         assert set(series.methods) == {
@@ -41,14 +46,19 @@ class TestInterfaces:
         }
 
     def test_samplesize_series_shape(self):
-        series = run_ablation_samplesize(
-            sample_sizes=(150, 400), n_attributes=10, seed=3
+        series = _series(
+            "ablation-samplesize",
+            sample_sizes=(150, 400),
+            n_attributes=10,
+            seed=3,
         )
         assert series.x_values.tolist() == [150.0, 400.0]
         assert "BE-DR" in series.methods
 
     def test_utility_series_shape(self):
-        series = run_ablation_utility(n_train=600, n_test=400, seed=4)
+        series = _series(
+            "ablation-utility", n_train=600, n_test=400, seed=4
+        )
         assert series.x_values.size == 2  # iid vs correlated
         assert set(series.methods) == {
             "original",
@@ -60,7 +70,8 @@ class TestInterfaces:
             assert np.all((0.0 <= values) & (values <= 1.0))
 
     def test_marginals_series_records_shapes(self):
-        series = run_ablation_marginals(
+        series = _series(
+            "ablation-marginals",
             marginals=("normal", "uniform"),
             n_attributes=10,
             n_records=300,
@@ -70,12 +81,11 @@ class TestInterfaces:
         assert series.x_values.size == 2
 
     def test_deterministic_given_seed(self):
-        a = run_ablation_samplesize(
-            sample_sizes=(150,), n_attributes=8, seed=9
+        spec = builtin_spec(
+            "ablation-samplesize", sample_sizes=(150,), n_attributes=8, seed=9
         )
-        b = run_ablation_samplesize(
-            sample_sizes=(150,), n_attributes=8, seed=9
-        )
+        a = run_spec(spec).to_series()
+        b = run_spec(spec).to_series()
         for method in a.methods:
             np.testing.assert_array_equal(a.curve(method), b.curve(method))
 
@@ -83,12 +93,12 @@ class TestInterfaces:
 class TestValidation:
     def test_covariance_rejects_empty_sizes(self):
         with pytest.raises(ConfigurationError):
-            run_ablation_covariance(sample_sizes=())
+            builtin_spec("ablation-covariance", sample_sizes=())
 
     def test_samplesize_rejects_empty_sizes(self):
         with pytest.raises(ConfigurationError):
-            run_ablation_samplesize(sample_sizes=())
+            builtin_spec("ablation-samplesize", sample_sizes=())
 
     def test_marginals_rejects_empty_list(self):
         with pytest.raises(ConfigurationError):
-            run_ablation_marginals(marginals=())
+            builtin_spec("ablation-marginals", marginals=())

@@ -373,60 +373,6 @@ class TestTaskPickle:
         assert report.suppressed
 
 
-class TestMutableDefault:
-    def test_list_literal_default_triggers(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            def collect(values=[]):
-                return values
-            """,
-        )
-        (finding,) = fired(report, "mutable-default")
-        assert "collect" in finding.message
-
-    def test_bare_dict_call_and_kwonly_trigger(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            def configure(options=dict(), *, extras=[]):
-                return options, extras
-            """,
-        )
-        assert len(fired(report, "mutable-default")) == 2
-
-    def test_none_default_is_clean(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            def collect(values=None):
-                return [] if values is None else values
-            """,
-        )
-        assert report.ok
-
-    def test_private_function_is_exempt(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            def _collect(values=[]):
-                return values
-            """,
-        )
-        assert not fired(report, "mutable-default")
-
-    def test_suppression(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            def collect(values=[]):  # repro: ignore[mutable-default] read-only
-                return values
-            """,
-        )
-        assert not fired(report, "mutable-default")
-        assert report.suppressed
-
-
 class TestFloatEq:
     def test_equality_against_float_literal_triggers(self, tmp_path):
         report = check_snippet(

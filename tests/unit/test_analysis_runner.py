@@ -27,7 +27,6 @@ EXPECTED_RULES = [
     "float-eq",
     "global-rng",
     "iter-hotpath",
-    "mutable-default",
     "ndarray-eq",
     "shm-lifecycle",
     "spec-signature",
@@ -37,7 +36,7 @@ EXPECTED_RULES = [
 
 
 class TestRegistry:
-    def test_catalog_holds_the_ten_rules(self):
+    def test_catalog_holds_the_nine_rules(self):
         assert RULES.names() == EXPECTED_RULES
 
     def test_get_unknown_rule_raises(self):
@@ -124,18 +123,20 @@ class TestRunner:
         path.write_text(
             textwrap.dedent(
                 """
+                import numpy as np
+
+                def earlier():
+                    return np.random.rand()
+
                 def later(x):
                     return x == 2.5
-
-                def earlier(values=[]):
-                    return values
                 """
             )
         )
         report = run_check([path])
         assert [f.rule for f in report.active] == [
+            "global-rng",
             "float-eq",
-            "mutable-default",
         ]
         assert report.active[0].line < report.active[1].line
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.experiments.ascii_plot import plot_series
-from repro.experiments.config import ExperimentSeries
+from repro.api.config import ExperimentSeries
 
 
 def _series():

@@ -7,18 +7,19 @@ from repro.exceptions import ValidationError
 from repro.mining.association import AprioriMiner, FrequentItemset, MaskScheme
 
 
-def _planted_baskets(n=20000, seed=0):
-    """Baskets over 6 items with a planted frequent pair {0, 1}.
+def _planted_baskets(n=20000, seed=0, supports=(0.4, 0.3, 0.2, 0.05)):
+    """Baskets with a planted frequent pair {0, 1}.
 
     Item 0 appears w.p. 0.5; item 1 copies item 0 w.p. 0.9 (strong
-    association); items 2-5 are independent with decreasing supports.
+    association); items 2, 3, ... are independent with the given
+    supports.
     """
     rng = np.random.default_rng(seed)
-    baskets = np.zeros((n, 6), dtype=np.int8)
+    baskets = np.zeros((n, 2 + len(supports)), dtype=np.int8)
     baskets[:, 0] = rng.random(n) < 0.5
     copy = rng.random(n) < 0.9
     baskets[:, 1] = np.where(copy, baskets[:, 0], rng.random(n) < 0.5)
-    for item, support in zip(range(2, 6), (0.4, 0.3, 0.2, 0.05)):
+    for item, support in enumerate(supports, start=2):
         baskets[:, item] = rng.random(n) < support
     return baskets
 
@@ -144,6 +145,34 @@ class TestAprioriMiner:
         frequent = AprioriMiner(0.3).mine_plain(baskets)
         keys = [(len(fs.items), fs.items) for fs in frequent]
         assert keys == sorted(keys)
+
+    def test_retention_sweep_recovers_itemsets(self):
+        """Gentle randomization recovers the frequent itemsets exactly;
+        support estimates get noisier, not better, as ``p`` falls."""
+        baskets = _planted_baskets(
+            n=30000, supports=(0.45, 0.4, 0.35, 0.25, 0.15, 0.05)
+        )
+        miner = AprioriMiner(0.3, max_size=3)
+        truth = {fs.items: fs.support for fs in miner.mine_plain(baskets)}
+        worst_error = []
+        for index, p in enumerate((0.95, 0.9, 0.8, 0.7, 0.6)):
+            scheme = MaskScheme(p)
+            disguised = scheme.disguise(baskets, rng=index + 1)
+            mined = {
+                fs.items: fs.support
+                for fs in miner.mine_disguised(disguised, scheme)
+            }
+            if index == 0:
+                # Recall and precision are both 1 at p = 0.95.
+                assert mined.keys() == truth.keys()
+            common = truth.keys() & mined.keys()
+            worst_error.append(
+                max(abs(mined[s] - truth[s]) for s in common)
+                if common
+                else 1.0
+            )
+        assert worst_error[0] < 0.02
+        assert worst_error[-1] >= worst_error[0]
 
     def test_rejects_non_mask_scheme(self):
         with pytest.raises(ValidationError, match="MaskScheme"):

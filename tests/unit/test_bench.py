@@ -15,6 +15,7 @@ from repro.bench.registry import (
 from repro.bench.runner import (
     SCHEMA,
     compare_to_baseline,
+    default_baseline_path,
     load_payload,
     render_comparison,
     render_report,
@@ -150,33 +151,42 @@ class TestRunBenchmarks:
 
 
 class TestPayloadIO:
-    def test_write_and_load_roundtrip(self, scratch_case, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # outside the repo: no mirror copy
+    def test_write_and_load_roundtrip(self, scratch_case, tmp_path):
         payload = run_benchmarks(filter_token="scratch", repeat=1)
         target = tmp_path / "BENCH_test.json"
-        written = write_payload(payload, target)
-        assert written == [target]
+        assert write_payload(payload, target) == target
         loaded = load_payload(target)
         assert loaded["benchmarks"].keys() == payload["benchmarks"].keys()
 
-    def test_write_mirrors_into_repo_results(
+    def test_write_touches_only_the_given_path(
         self, scratch_case, tmp_path, monkeypatch
     ):
-        utils = tmp_path / "benchmarks" / "_bench_utils.py"
-        utils.parent.mkdir()
-        utils.write_text(
-            "import json, pathlib\n"
-            "RESULTS_DIR = pathlib.Path(__file__).parent / 'results'\n"
-            "def emit_json(name, payload):\n"
-            "    RESULTS_DIR.mkdir(exist_ok=True)\n"
-            "    (RESULTS_DIR / f'{name}.json').write_text("
-            "json.dumps(payload))\n"
-        )
+        (tmp_path / "benchmarks" / "baselines").mkdir(parents=True)
         monkeypatch.chdir(tmp_path)
         payload = run_benchmarks(filter_token="scratch", repeat=1)
-        written = write_payload(payload, tmp_path / "BENCH_mirror.json")
-        assert len(written) == 2
-        assert (tmp_path / "benchmarks/results/BENCH_mirror.json").is_file()
+        target = tmp_path / "BENCH_only.json"
+        assert write_payload(payload, target) == target
+        assert sorted(
+            str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")
+        ) == ["BENCH_only.json", "benchmarks", "benchmarks/baselines"]
+
+    def test_default_baseline_found_from_a_subdirectory(
+        self, tmp_path, monkeypatch
+    ):
+        baseline = tmp_path / "benchmarks" / "baselines"
+        baseline.mkdir(parents=True)
+        baseline /= "BENCH_BASELINE.json"
+        baseline.write_text("{}")
+        nested = tmp_path / "docs" / "guides"
+        nested.mkdir(parents=True)
+        monkeypatch.chdir(nested)
+        assert default_baseline_path() == baseline.resolve()
+
+    def test_no_default_baseline_outside_a_checkout(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert default_baseline_path() is None
 
     def test_load_rejects_non_payload(self, tmp_path):
         bogus = tmp_path / "bogus.json"

@@ -1,13 +1,19 @@
-"""Unit tests for repro.experiments.config."""
+"""Unit tests for repro.api.config."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ValidationError
-from repro.experiments.config import ExperimentSeries, SweepConfig
+from repro.api.config import ExperimentSeries, SweepConfig
 
 
 class TestSweepConfig:
+    def test_top_level_api_attribute(self):
+        import repro
+
+        assert repro.api.SweepConfig is SweepConfig
+        assert repro.api.ExperimentSeries is ExperimentSeries
+
     def test_defaults(self):
         config = SweepConfig()
         assert config.n_records == 2000

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.experiments.config import ExperimentSeries
+from repro.api.config import ExperimentSeries
 from repro.experiments.reporting import render_series, series_to_rows
 
 
